@@ -395,16 +395,15 @@ pub fn cmd_gen(args: &Args) -> Result<String, String> {
             seed,
         };
         let instance = importer.parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let out_text = io::instance_to_string(&instance);
         return if let Some(out) = args.opt("out") {
-            fs::write(out, &out_text).map_err(|e| format!("writing {out}: {e}"))?;
+            write_streamed(out, |w| io::write_instance(w, &instance))?;
             Ok(format!(
                 "imported {} jobs ({}) from {path} to {out}\n",
                 instance.len(),
                 instance.kind()
             ))
         } else {
-            Ok(out_text)
+            Ok(io::instance_to_string(&instance))
         };
     }
 
@@ -486,8 +485,9 @@ pub fn cmd_gen(args: &Args) -> Result<String, String> {
         note = format!("wrote {} capacity events to {path}\n", plan.len());
     }
     if let Some(path) = args.opt("serve-script") {
-        let (script, offline) = osr_workload::serve_script(&instance, &plan)?;
-        fs::write(path, &script).map_err(|e| format!("writing {path}: {e}"))?;
+        let script = osr_workload::ServeScript::new(&instance, &plan)?;
+        write_streamed(path, |w| script.write_to(w))?;
+        let offline = script.offline();
         let offline = if offline.is_empty() {
             "none".to_string()
         } else {
@@ -502,17 +502,30 @@ pub fn cmd_gen(args: &Args) -> Result<String, String> {
         ));
     }
 
-    let text = io::instance_to_string(&instance);
     if let Some(path) = args.opt("out") {
-        fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
+        write_streamed(path, |w| io::write_instance(w, &instance))?;
         Ok(format!(
             "wrote {} jobs on {} machines to {path}\n{note}",
             instance.len(),
             machines
         ))
     } else {
-        Ok(text)
+        Ok(io::instance_to_string(&instance))
     }
+}
+
+/// Creates `path` and streams `write` into it through a buffer, so a
+/// large output is never held in memory whole.
+fn write_streamed<E: std::fmt::Display>(
+    path: &str,
+    write: impl FnOnce(&mut std::io::BufWriter<fs::File>) -> Result<(), E>,
+) -> Result<(), String> {
+    let file = fs::File::create(path).map_err(|e| format!("writing {path}: {e}"))?;
+    let mut w = std::io::BufWriter::new(file);
+    write(&mut w).map_err(|e| format!("writing {path}: {e}"))?;
+    w.into_inner()
+        .map_err(|e| format!("writing {path}: {}", e.error()))?;
+    Ok(())
 }
 
 fn load_instance(args: &Args) -> Result<Instance, String> {

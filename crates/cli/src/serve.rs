@@ -238,9 +238,9 @@ fn is_arrive(line: &str) -> bool {
 /// running cursor, and a bad line leaves the cursor untouched — so a
 /// later dense id fails the same way it would one-by-one. If the
 /// session rejects the batch mid-way, the surviving prefix is
-/// committed and every later batch entry is replayed through the
-/// serial path, keeping replies and state line-for-line identical to
-/// the uncoalesced loop.
+/// committed and every later line of the burst (parsed or not) is
+/// replayed through the serial path, keeping replies and state
+/// line-for-line identical to the uncoalesced loop.
 /// Returns `Some(message)` when a failpoint's `error` action fired
 /// inside the batch: the batch was neither journaled nor applied, and
 /// the serve loop must shut down gracefully (flush + final log).
@@ -248,14 +248,14 @@ fn process_arrive_batch(
     sess: &mut dyn ServeSession,
     next_id: &mut usize,
     last_t: &mut f64,
-    lines: Vec<(String, Option<Sender<String>>)>,
+    lines: Vec<(String, Option<Sender<Reply>>)>,
 ) -> Option<String> {
     enum Tag {
         Parsed(usize),
         Bad(String),
     }
     let mut batch: Vec<Arrival> = Vec::new();
-    let mut tagged: Vec<(String, Option<Sender<String>>, Tag)> = Vec::new();
+    let mut tagged: Vec<(String, Option<Sender<Reply>>, Tag)> = Vec::new();
     let (mut tid, mut tt) = (*next_id, *last_t);
     for (line, reply) in lines {
         match parse_arrive(line.split_whitespace().skip(1), tid, tt) {
@@ -285,16 +285,22 @@ fn process_arrive_batch(
         .filter(|e| failpoint::is_failpoint_error(e))
         .map(str::to_string);
     let mut failed = fail;
+    // Lines after a rejected entry were parsed against a cursor that
+    // assumed it landed (a same-id retry would read as out of order);
+    // they replay serially against the real cursor instead.
+    let mut replay = false;
     for (line, reply, tag) in tagged {
         let res = match tag {
+            _ if replay => handle_line(sess, next_id, last_t, &line).map(|_| ()),
             Tag::Bad(e) => Err(e),
             Tag::Parsed(i) if i < ok_count => Ok(()),
             Tag::Parsed(_) if injected.is_some() => Err(injected.clone().expect("checked is_some")),
-            Tag::Parsed(i) if i == ok_count && failed.is_some() => {
-                Err(failed.take().expect("checked is_some"))
+            Tag::Parsed(_) => {
+                replay = true;
+                Err(failed
+                    .take()
+                    .expect("a parsed entry past the applied prefix failed"))
             }
-            // Batch entries past a mid-batch failure replay serially.
-            Tag::Parsed(_) => handle_line(sess, next_id, last_t, &line).map(|_| ()),
         };
         match res {
             Ok(()) => {
@@ -304,7 +310,7 @@ fn process_arrive_batch(
             }
             Err(e) => match reply {
                 Some(tx) => {
-                    let _ = tx.send(format!("err {e}\n"));
+                    let _ = tx.send(format!("err {e}\n").into());
                 }
                 None => eprintln!("serve: {e}"),
             },
@@ -369,11 +375,34 @@ fn with_shed_line(block: String, shed: u64) -> String {
     out
 }
 
+/// The serve loop's answer to one socket line.
+struct Reply {
+    text: String,
+    /// Set only for `shutdown`: signalled once the connection thread
+    /// has written `text`, so the process cannot exit first.
+    written: Option<Sender<()>>,
+}
+
+impl From<&str> for Reply {
+    fn from(text: &str) -> Self {
+        text.to_string().into()
+    }
+}
+
+impl From<String> for Reply {
+    fn from(text: String) -> Self {
+        Reply {
+            text,
+            written: None,
+        }
+    }
+}
+
 /// One message from a producer thread to the serve loop.
 enum Inbound {
     /// A protocol line, with a reply channel for socket clients (`None`
     /// for stdin — its errors and stats print to stderr instead).
-    Line(String, Option<Sender<String>>),
+    Line(String, Option<Sender<Reply>>),
     /// The stdin stream ended.
     Eof,
 }
@@ -394,7 +423,7 @@ fn handle_conn(stream: UnixStream, tx: SyncSender<Inbound>, shed: Arc<AtomicU64>
     let mut writer = stream;
     for line in BufReader::new(read_half).lines() {
         let Ok(line) = line else { break };
-        let (rtx, rrx) = mpsc::channel::<String>();
+        let (rtx, rrx) = mpsc::channel::<Reply>();
         match tx.try_send(Inbound::Line(line, Some(rtx))) {
             Ok(()) => {}
             Err(mpsc::TrySendError::Full(_)) => {
@@ -407,7 +436,11 @@ fn handle_conn(stream: UnixStream, tx: SyncSender<Inbound>, shed: Arc<AtomicU64>
             Err(mpsc::TrySendError::Disconnected(_)) => break, // server shut down
         }
         let Ok(reply) = rrx.recv() else { break };
-        if writer.write_all(reply.as_bytes()).is_err() {
+        let written = writer.write_all(reply.text.as_bytes()).is_ok();
+        if let Some(done) = reply.written {
+            let _ = done.send(());
+        }
+        if !written {
             break;
         }
     }
@@ -531,27 +564,36 @@ fn serve_loop<R: BufRead + Send + 'static>(
                         let block = with_shed_line(block, shed.load(Ordering::Relaxed));
                         match reply {
                             Some(tx) => {
-                                let _ = tx.send(block);
+                                let _ = tx.send(block.into());
                             }
                             None => eprint!("{block}"),
                         }
                     }
                     Ok(Response::Shutdown) => {
                         if let Some(tx) = reply {
-                            let _ = tx.send("ok\n".into());
+                            // Wait until the connection thread has put
+                            // the `ok` on the socket (or dropped the
+                            // reply because its client is gone): once
+                            // this loop returns, the process may exit.
+                            let (done_tx, done_rx) = mpsc::channel();
+                            let _ = tx.send(Reply {
+                                text: "ok\n".into(),
+                                written: Some(done_tx),
+                            });
+                            let _ = done_rx.recv();
                         }
                         break;
                     }
                     Err(e) if failpoint::is_failpoint_error(&e) => {
                         if let Some(tx) = reply {
-                            let _ = tx.send(format!("err {e}\n"));
+                            let _ = tx.send(format!("err {e}\n").into());
                         }
                         eprintln!("serve: {e}; shutting down gracefully");
                         break;
                     }
                     Err(e) => match reply {
                         Some(tx) => {
-                            let _ = tx.send(format!("err {e}\n"));
+                            let _ = tx.send(format!("err {e}\n").into());
                         }
                         None => eprintln!("serve: {e}"),
                     },
@@ -952,7 +994,9 @@ shutdown
             "arrive 3 @x 1 1", // malformed release: rejected either way
             "drain 1 @3",
             "arrive 3 @4 w=1 1.5 2.5",
-            "arrive 4 @3 w=1 1 1", // time regression: session-level reject
+            "arrive 4 @3 w=1 1 1",   // time regression: session-level reject
+            "arrive 4 @4.5 w=1 1 1", // same-id retry: lands, as it does serially
+            "arrive 5 @inf w=1 2 2", // non-finite release: session-level reject
             "arrive 5 @5 w=1 2 2",
         ];
         let mut serial = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
@@ -964,7 +1008,7 @@ shutdown
         let mut batched: Box<dyn ServeSession> =
             Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
         let (mut bid, mut bt) = (0usize, 0.0f64);
-        let mut burst: Vec<(String, Option<Sender<String>>)> = Vec::new();
+        let mut burst: Vec<(String, Option<Sender<Reply>>)> = Vec::new();
         for line in script {
             if is_arrive(line) {
                 burst.push((line.to_string(), None));
@@ -1032,6 +1076,21 @@ shutdown
         assert!(line(&mut sess, &mut id, &mut t, "arrive 1 @x 1 1").is_err());
         assert!(line(&mut sess, &mut id, &mut t, "join").is_err());
         assert!(line(&mut sess, &mut id, &mut t, "advance").is_err());
+        // Non-finite times are refused and leave the cursor alone.
+        for bad in [
+            "advance inf",
+            "advance -inf",
+            "advance @inf",
+            "advance NaN",
+            "crash 0 @inf",
+            "join 1 @-inf",
+            "arrive 1 @inf 1 1",
+            "arrive 1 @-inf 1 1",
+        ] {
+            let e = line(&mut sess, &mut id, &mut t, bad).err().unwrap();
+            assert!(e.contains("not finite"), "{bad}: {e}");
+            assert_eq!((id, t), (1, 1.0), "{bad}");
+        }
         // Defaulted capacity time = the last event time.
         assert!(line(&mut sess, &mut id, &mut t, "drain 1").is_ok());
         // Stats renders the wire block.

@@ -325,6 +325,86 @@ fn serve_socket_feeds_stats_and_top_renders() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `advance inf` (or any non-finite time) is an error that leaves the
+/// clock where it was, so later arrivals still dispatch.
+#[test]
+fn non_finite_times_do_not_stall_the_serve_clock() {
+    let out = serve_raw(
+        "serve --machines 2",
+        "arrive 0 @0 w=1 2 3\nadvance inf\nadvance -inf\ncrash 0 @inf\n\
+         arrive 1 @inf w=1 2 3\narrive 1 @1 w=1 2 3\nshutdown\n",
+    );
+    assert!(out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr.matches("not finite").count(), 4, "{stderr}");
+    assert!(!stderr.contains("behind the stream"), "{stderr}");
+    let log = osr_model::io::log_from_str(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    assert_eq!(log.len(), 2);
+    assert!(log.iter().all(|(_, fate)| fate.rejection().is_none()));
+}
+
+/// A `shutdown` sent over the socket must always get its `ok`: the
+/// serve loop waits for the connection thread to write the reply
+/// before it finishes, so the process cannot exit first. Repeated
+/// because the lost reply was a race.
+#[cfg(unix)]
+#[test]
+fn socket_shutdown_always_gets_its_ok() {
+    use std::io::{BufRead as _, BufReader};
+    use std::os::unix::net::UnixStream;
+
+    let dir = tmpdir("sockshut");
+    let sock = dir.join("osr.sock");
+    for round in 0..100 {
+        let serve = osr()
+            .args(
+                format!(
+                    "serve --algo flow:0.5 --machines 2 --socket {}",
+                    sock.display()
+                )
+                .split_whitespace(),
+            )
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn osr serve");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let stream = loop {
+            match UnixStream::connect(&sock) {
+                Ok(s) => break s,
+                Err(_) => {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "round {round}: serve socket never came up"
+                    );
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+            }
+        };
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        writer.write_all(b"arrive 0 @0 w=1 2 3\n").unwrap();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply, "ok\n", "round {round}: arrive");
+        reply.clear();
+        writer.write_all(b"shutdown\n").unwrap();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply, "ok\n", "round {round}: shutdown reply lost");
+        let out = serve.wait_with_output().unwrap();
+        assert!(
+            out.status.success(),
+            "round {round}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let log = osr_model::io::log_from_str(&String::from_utf8(out.stdout).unwrap()).unwrap();
+        assert_eq!(log.len(), 1, "round {round}");
+        assert!(!sock.exists(), "round {round}: socket left behind");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn run_notices_go_to_stderr_and_stdout_stays_clean() {
     let dir = tmpdir("notices");

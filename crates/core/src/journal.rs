@@ -59,10 +59,12 @@
 //! serve loop will re-feed `k+1..` one by one (journaling each), so the
 //! journal is truncated back to entry `k` to keep it an exact mirror.
 
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use osr_model::io::push_f64;
 use osr_model::{FinishedLog, JobId};
 use osr_sim::failpoint::{self, FailHit};
 use osr_sim::CapacityChange;
@@ -126,15 +128,18 @@ pub enum Record {
     },
 }
 
-/// Encodes an arrive record body (no checksum suffix). `{}` formatting
-/// is Rust's shortest round-trip for `f64`, so replay re-parses every
-/// value bit-exactly; `inf` marks ineligible machines as in the wire
-/// protocol.
+/// Encodes an arrive record body (no checksum suffix). Floats use the
+/// [`osr_model::io`] format — the shortest round trip, `inf` for an
+/// ineligible machine as in the wire protocol — so replay re-parses
+/// every value bit-exactly.
 pub fn encode_arrive(id: usize, release: f64, weight: f64, sizes: &[f64]) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("arrive {id} @{release} w={weight}");
-    for sz in sizes {
-        let _ = write!(s, " {sz}");
+    let mut s = format!("arrive {id} @");
+    push_f64(&mut s, release);
+    s.push_str(" w=");
+    push_f64(&mut s, weight);
+    for &sz in sizes {
+        s.push(' ');
+        push_f64(&mut s, sz);
     }
     s
 }
@@ -146,12 +151,16 @@ pub fn encode_capacity(change: CapacityChange, machine: usize, time: f64) -> Str
         CapacityChange::Drain => "drain",
         CapacityChange::Crash => "crash",
     };
-    format!("{kind} {machine} @{time}")
+    let mut s = format!("{kind} {machine} @");
+    push_f64(&mut s, time);
+    s
 }
 
 /// Encodes an advance record body.
 pub fn encode_advance(time: f64) -> String {
-    format!("advance {time}")
+    let mut s = String::from("advance ");
+    push_f64(&mut s, time);
+    s
 }
 
 fn parse_f64(tok: &str, what: &str) -> Result<f64, String> {
@@ -221,8 +230,11 @@ pub fn parse_record(body: &str) -> Result<Record, String> {
 const HEADER_PREFIX: &str = "#osr-journal v1 fp=";
 const CHECK_SEP: &str = " #h";
 
-fn raw_line(body: &str) -> String {
-    format!("{body}{CHECK_SEP}{:016x}\n", fnv1a(body.as_bytes()))
+/// Appends `body` as one sealed journal line (checksum token and
+/// newline included).
+fn push_sealed(out: &mut String, body: &str) {
+    out.push_str(body);
+    let _ = writeln!(out, "{CHECK_SEP}{:016x}", fnv1a(body.as_bytes()));
 }
 
 /// Splits a complete (newline-stripped) journal line into its body if
@@ -524,9 +536,8 @@ impl Journal {
         let mut at = self.len;
         for body in bodies {
             offsets.push(at);
-            let line = raw_line(body);
-            at += line.len() as u64;
-            buf.push_str(&line);
+            push_sealed(&mut buf, body);
+            at = self.len + buf.len() as u64;
         }
         self.file
             .write_all(buf.as_bytes())
@@ -545,7 +556,7 @@ impl Journal {
                 // Manufacture the torn tail deterministically: rewind
                 // to the last record's start, leave half of it, die.
                 let last = *offsets.last().expect("non-empty batch");
-                let line = raw_line(bodies.last().expect("non-empty batch"));
+                let line = &buf[(last - self.len) as usize..];
                 let _ = self.file.set_len(last);
                 let _ = self.file.write_all(&line.as_bytes()[..line.len() / 2]);
                 let _ = self.file.sync_data();
@@ -962,6 +973,12 @@ mod tests {
     use osr_model::io as model_io;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    fn raw_line(body: &str) -> String {
+        let mut s = String::new();
+        push_sealed(&mut s, body);
+        s
+    }
+
     fn tmp(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
@@ -1129,6 +1146,40 @@ mod tests {
         let (js2, report, _w) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();
         assert_eq!(js2.cursor(), cursor);
         assert_eq!(report.rejected_replays, 2);
+        assert_eq!(
+            model_io::log_to_string(&Box::new(js2).finish().unwrap()),
+            oracle
+        );
+    }
+
+    /// A non-finite time is journaled, rejected, and rejected again on
+    /// replay; the clock never moves to infinity, so later events still
+    /// apply and recovery reproduces the log.
+    #[test]
+    fn non_finite_times_are_journaled_and_rejected_on_replay() {
+        let path = tmp("nonfinite");
+        let fp = fingerprint("flow:0.5", 2, &[]);
+        let mut js = JournaledSession::create(sess(2), &path, fp, 0).unwrap();
+        js.arrive(1.0, 1.0, vec![1.0, 2.0]).unwrap();
+        assert!(js.advance(f64::INFINITY).is_err());
+        assert!(js
+            .capacity(CapacityChange::Crash, 0, f64::NEG_INFINITY)
+            .is_err());
+        assert!(js.arrive(f64::INFINITY, 1.0, vec![1.0, 1.0]).is_err());
+        js.arrive(2.0, 1.0, vec![1.0, 2.0]).unwrap();
+        let cursor = js.cursor();
+        let oracle = model_io::log_to_string(&Box::new(js).finish().unwrap());
+        let text = std::fs::read_to_string(&path).unwrap();
+        for body in ["advance inf", "crash 0 @-inf", "arrive 1 @inf w=1 1 1"] {
+            assert!(
+                text.contains(&format!("{body} #h")),
+                "{body} missing in {text}"
+            );
+        }
+
+        let (js2, report, _w) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();
+        assert_eq!(js2.cursor(), cursor);
+        assert_eq!(report.rejected_replays, 3);
         assert_eq!(
             model_io::log_to_string(&Box::new(js2).finish().unwrap()),
             oracle

@@ -120,9 +120,10 @@ pub struct Arrival {
 /// algorithm: [`FlowSession`] (§2), [`WeightedFlowSession`] (§3 weight
 /// rule on unit speeds), [`EnergyFlowSession`] (§3 speed scaling).
 ///
-/// Event times must be non-decreasing across *all* calls (`arrive`,
-/// `capacity`, `advance` share one high-water clock); violations are
-/// rejected with an error and leave the session state untouched.
+/// Event times must be finite and non-decreasing across *all* calls
+/// (`arrive`, `capacity`, `advance` share one high-water clock);
+/// violations are rejected with an error and leave the session state
+/// untouched.
 pub trait ServeSession: Send {
     /// Short algorithm name (`"flow"`, `"weighted"`, `"energy"`).
     fn algorithm(&self) -> &'static str;
@@ -191,10 +192,12 @@ fn initial_pool(machines: usize, offline: &[usize]) -> Result<OnlineSet, String>
     Ok(online)
 }
 
-/// Shared stream validation: a session-wide monotone clock.
+/// Shared stream validation: a session-wide monotone clock over finite
+/// times. `inf` is refused like NaN: accepting it would move the
+/// high-water mark to infinity and reject every later event.
 fn check_clock(clock: f64, time: f64, what: &str) -> Result<(), String> {
-    if time.is_nan() {
-        return Err(format!("{what} time is NaN"));
+    if !time.is_finite() {
+        return Err(format!("{what} time {time} is not finite"));
     }
     if time < clock {
         return Err(format!(
@@ -1026,5 +1029,48 @@ mod tests {
         // Zero machines and out-of-range offline lists are rejected.
         assert!(FlowSession::new(FlowParams::new(0.5), 0).is_err());
         assert!(FlowSession::with_offline(FlowParams::new(0.5), 2, &[2]).is_err());
+    }
+
+    /// `inf`, `-inf` and NaN times are refused by arrive, capacity and
+    /// advance alike, for all three sessions, and leave the clock where
+    /// it was: the stream goes on and the log equals a clean run's.
+    #[test]
+    fn non_finite_times_are_rejected_without_moving_the_clock() {
+        let build: [fn() -> Box<dyn ServeSession>; 3] = [
+            || Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap()),
+            || Box::new(WeightedFlowSession::new(WeightedFlowParams::new(0.5), 2).unwrap()),
+            || Box::new(EnergyFlowSession::new(EnergyFlowParams::new(0.5, 2.0), 2).unwrap()),
+        ];
+        for mk in build {
+            let mut clean = mk();
+            clean.arrive(0.0, 1.0, vec![2.0, 3.0]).unwrap();
+            clean.arrive(1.0, 1.0, vec![2.0, 3.0]).unwrap();
+            let clean = log_to_string(&clean.finish().unwrap());
+
+            let mut sess = mk();
+            sess.arrive(0.0, 1.0, vec![2.0, 3.0]).unwrap();
+            for t in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let e = sess.advance(t).unwrap_err();
+                assert!(
+                    e.contains("advance time") && e.contains("not finite"),
+                    "{e}"
+                );
+                let e = sess.capacity(CapacityChange::Drain, 0, t).unwrap_err();
+                assert!(e.contains("capacity event time"), "{e}");
+                let e = sess.arrive(t, 1.0, vec![2.0, 3.0]).unwrap_err();
+                assert!(e.contains("arrival time"), "{e}");
+                let e = sess
+                    .arrive_batch(vec![Arrival {
+                        release: t,
+                        weight: 1.0,
+                        sizes: vec![2.0, 3.0],
+                    }])
+                    .unwrap_err();
+                assert_eq!(e.0, 0, "{}", e.1);
+            }
+            assert_eq!(sess.snapshot().arrived, 1);
+            sess.arrive(1.0, 1.0, vec![2.0, 3.0]).unwrap();
+            assert_eq!(log_to_string(&sess.finish().unwrap()), clean);
+        }
     }
 }

@@ -32,6 +32,7 @@
 //! [`validator`](crate::validate) consumes the same plan to check that
 //! every run sits inside an online window of its machine.
 
+use osr_model::io::push_f64;
 use osr_model::{MachineId, OnlineSet};
 
 /// What happens to a machine at a [`CapacityEvent`].
@@ -255,11 +256,14 @@ impl CapacityPlan {
         CapacityPlan::new(events)
     }
 
-    /// Serializes the plan in the [`CapacityPlan::parse`] format.
+    /// Serializes the plan in the [`CapacityPlan::parse`] format, times
+    /// in the [`osr_model::io`] float format.
     pub fn to_csv(&self) -> String {
+        use std::fmt::Write as _;
         let mut out = String::from("time,machine,kind\n");
         for e in &self.events {
-            out.push_str(&format!("{},{},{}\n", e.time, e.machine.idx(), e.change));
+            push_f64(&mut out, e.time);
+            let _ = writeln!(out, ",{},{}", e.machine.idx(), e.change);
         }
         out
     }

@@ -46,4 +46,4 @@ pub use scenario::{
     RelatedSpeedMachines, ReplayArrivals, RestrictedMachines, Scenario, SizeModel, SizeSpec,
     UniformSize, UnrelatedMachines, WeightSpec,
 };
-pub use trace::{parse_failure_trace, serve_script, TraceImport};
+pub use trace::{parse_failure_trace, serve_script, ServeScript, TraceImport};

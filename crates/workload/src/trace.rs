@@ -22,6 +22,10 @@
 //! of `join`/`drain`/`crash` — and pair with the job trace from
 //! [`TraceImport::parse`] to rerun a recorded incident.
 
+use std::fmt::Write as _;
+use std::io::Write;
+
+use osr_model::io::push_f64;
 use osr_model::{Instance, InstanceBuilder, InstanceKind, ModelError};
 use osr_sim::CapacityPlan;
 use rand::rngs::StdRng;
@@ -144,9 +148,9 @@ pub fn parse_failure_trace(text: &str) -> Result<CapacityPlan, String> {
 /// One line per event, in the offline batch loop's order — capacity
 /// changes precede arrivals at equal instants — so piping the script
 /// into `osr serve` reproduces the offline `osr run` log **byte for
-/// byte** (numbers are printed with Rust's shortest-round-trip float
-/// formatting, so every timestamp, weight, and size survives the text
-/// round trip exactly):
+/// byte** (numbers use the shortest-round-trip float format of
+/// [`osr_model::io`], so every timestamp, weight, and size survives the
+/// text round trip exactly):
 ///
 /// ```text
 /// arrive <id> @<t> w=<w> <size>...   # size `inf` = ineligible
@@ -155,54 +159,94 @@ pub fn parse_failure_trace(text: &str) -> Result<CapacityPlan, String> {
 /// ```
 ///
 /// Deadline instances (§4) have no serve mode; they are rejected here.
+/// [`ServeScript::write_to`] streams the same bytes to a writer.
 pub fn serve_script(inst: &Instance, plan: &CapacityPlan) -> Result<(String, Vec<usize>), String> {
-    let m = inst.machines();
-    plan.check_machines(m)?;
-    let online = plan.initial_online(m);
-    let offline: Vec<usize> = (0..m).filter(|&i| !online.is_online(i)).collect();
-
-    fn event_line(e: &osr_sim::CapacityEvent) -> String {
-        format!("{} {} @{}\n", e.change, e.machine.idx(), e.time)
-    }
-
+    let script = ServeScript::new(inst, plan)?;
     let mut out = String::new();
-    let mut evs = plan.events().iter().peekable();
-    for job in inst.jobs() {
-        if job.deadline.is_some() {
+    script
+        .emit(|line| {
+            out.push_str(line);
+            Ok(())
+        })
+        .expect("appending to a String cannot fail");
+    Ok((out, script.offline))
+}
+
+/// An instance and capacity plan checked for serving (see
+/// [`serve_script`]), ready to be written as a serve script.
+#[derive(Debug)]
+pub struct ServeScript<'a> {
+    inst: &'a Instance,
+    plan: &'a CapacityPlan,
+    offline: Vec<usize>,
+}
+
+impl<'a> ServeScript<'a> {
+    /// Checks that `plan` fits the instance's machines and that no job
+    /// has a deadline; nothing is rendered yet.
+    pub fn new(inst: &'a Instance, plan: &'a CapacityPlan) -> Result<Self, String> {
+        let m = inst.machines();
+        plan.check_machines(m)?;
+        if let Some(job) = inst.jobs().iter().find(|j| j.deadline.is_some()) {
             return Err(format!(
                 "{}: deadline jobs cannot be served (no §4 serve mode)",
                 job.id
             ));
         }
-        while let Some(e) = evs.peek() {
-            if e.time <= job.release {
-                out.push_str(&event_line(e));
-                evs.next();
-            } else {
-                break;
-            }
-        }
-        out.push_str(&format!(
-            "arrive {} @{} w={}",
-            job.id.idx(),
-            job.release,
-            job.weight
-        ));
-        for &p in &job.sizes {
-            out.push(' ');
-            if p.is_finite() {
-                out.push_str(&format!("{p}"));
-            } else {
-                out.push_str("inf");
-            }
-        }
-        out.push('\n');
+        let online = plan.initial_online(m);
+        let offline = (0..m).filter(|&i| !online.is_online(i)).collect();
+        Ok(ServeScript {
+            inst,
+            plan,
+            offline,
+        })
     }
-    for e in evs {
-        out.push_str(&event_line(e));
+
+    /// The machines that must start offline (`osr serve --offline`).
+    pub fn offline(&self) -> &[usize] {
+        &self.offline
     }
-    out.push_str("shutdown\n");
-    Ok((out, offline))
+
+    /// Streams the script to `w`, one reused line buffer for all lines.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+        self.emit(|line| w.write_all(line.as_bytes()))
+    }
+
+    /// Renders each line (newline included) into one reused buffer and
+    /// hands it to `sink`.
+    fn emit(&self, mut sink: impl FnMut(&str) -> std::io::Result<()>) -> std::io::Result<()> {
+        fn event_line(line: &mut String, e: &osr_sim::CapacityEvent) {
+            let _ = write!(line, "{} {} @", e.change, e.machine.idx());
+            push_f64(line, e.time);
+            line.push('\n');
+        }
+        let mut line = String::new();
+        let mut evs = self.plan.events().iter().peekable();
+        for job in self.inst.jobs() {
+            while let Some(e) = evs.next_if(|e| e.time <= job.release) {
+                line.clear();
+                event_line(&mut line, e);
+                sink(&line)?;
+            }
+            line.clear();
+            let _ = write!(line, "arrive {} @", job.id.idx());
+            push_f64(&mut line, job.release);
+            line.push_str(" w=");
+            push_f64(&mut line, job.weight);
+            for &p in &job.sizes {
+                line.push(' ');
+                push_f64(&mut line, p);
+            }
+            line.push('\n');
+            sink(&line)?;
+        }
+        for e in evs {
+            line.clear();
+            event_line(&mut line, e);
+            sink(&line)?;
+        }
+        sink("shutdown\n")
+    }
 }
 
 #[cfg(test)]
@@ -321,6 +365,30 @@ mod tests {
 
         let energy = TraceImport::identical(1).parse("0 2 1 10\n").unwrap();
         assert!(serve_script(&energy, &CapacityPlan::empty()).is_err());
+        assert!(ServeScript::new(&energy, &CapacityPlan::empty()).is_err());
+    }
+
+    #[test]
+    fn streamed_script_equals_the_string_and_spells_floats_shortest() {
+        let inst = TraceImport::identical(2)
+            .parse("0.1 3.7310627019737903\n1e-7 2\n1234567.25 0.3\n")
+            .unwrap();
+        let plan = parse_failure_trace("0.5,0,drain\n2,0,join\n").unwrap();
+        let (script, offline) = serve_script(&inst, &plan).unwrap();
+        let checked = ServeScript::new(&inst, &plan).unwrap();
+        assert_eq!(checked.offline(), offline.as_slice());
+        let mut streamed = Vec::new();
+        checked.write_to(&mut streamed).unwrap();
+        assert_eq!(String::from_utf8(streamed).unwrap(), script);
+        assert_eq!(
+            script,
+            "arrive 0 @0.0000001 w=1 2 2\n\
+             arrive 1 @0.1 w=1 3.7310627019737903 3.7310627019737903\n\
+             drain 0 @0.5\n\
+             join 0 @2\n\
+             arrive 2 @1234567.25 w=1 0.3 0.3\n\
+             shutdown\n"
+        );
     }
 
     #[test]
